@@ -1,12 +1,13 @@
 """Class-batched interpretation: one representative run per rank class.
 
-``partition_ranks`` (PR 6) proves sets of ranks that execute the identical
-statement sequence; ``sim_class_sharing`` (PR 5) already shares op
-*records* across ranks.  This module takes the remaining step: interpret
-only the **representative** of each class, record its op stream, and fan
-the stream out to every member by substituting the rank-dependent
-argument values that :mod:`repro.analysis.rankdep` classified — instead
-of running a generator chain per rank.
+``partition_ranks`` proves sets of ranks that execute the identical
+statement sequence; ``sim_class_sharing``, fed by the same rank-dependence
+analysis, already shares op *records* across ranks.  This module takes
+the remaining step: interpret only the **representative** of each class,
+record its op stream, and fan the stream out to every member by
+substituting the rank-dependent argument values that
+:mod:`repro.analysis.rankdep` classified — instead of running a
+generator chain per rank.
 
 Soundness rests on three independent guards, any of which degrades a
 class (never the run) to per-rank interpretation:
@@ -25,6 +26,13 @@ class (never the run) to per-rank interpretation:
    surfaces at the same simulated moment the per-rank oracle would
    surface it, not eagerly at engine start.
 
+The template is keyed by op *content*, not by op object: the
+representative's interpreter re-emits a fresh but identical op on every
+loop iteration whose arguments do not change, and every such position
+shares one classified entry (one set of per-member instances).  The key
+is type-strict and compares floats bitwise (:func:`_content_key`), so
+``1`` never stands in for ``1.0`` nor ``0.0`` for ``-0.0``.
+
 The builder never touches the engine: it returns plain per-rank op lists
 (class members whose stream needs no substitution share one list — each
 rank consumes its own ``iter``), and the engine feeds them through the
@@ -34,7 +42,7 @@ per-rank oracle is gated by ``tests/test_class_batching_identity.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from repro.analysis.batching import (
     IneligibleStmt,
@@ -55,6 +63,8 @@ __all__ = ["BatchResult", "build_batched_streams"]
 
 #: Hard sizing caps: fan-out trades memory for speed, so refuse templates
 #: whose materialized footprint would dwarf the win (fallback is free).
+#: The varying-instance cap counts per-member instances per distinct
+#: template entry, i.e. the instances actually held in memory.
 _MAX_TOTAL_STREAM_OPS = 16_000_000
 _MAX_VARYING_INSTANCES = 1_000_000
 _MAX_RECORDED_REASONS = 8
@@ -74,13 +84,17 @@ class BatchResult:
 
     ``streams`` maps every successfully batched rank (representatives
     included) to its complete op list; ranks absent from it run the
-    normal per-rank interpreter.
+    normal per-rank interpreter.  ``instances_built`` counts the
+    per-member op instances constructed for rank-varying template
+    entries (classes that later fell back included) — a deterministic
+    measure of template-build work.
     """
 
     streams: dict[int, list]
     classes_batched: int = 0
     ranks_batched: int = 0
     fallbacks: int = 0
+    instances_built: int = 0
     fallback_reasons: tuple[str, ...] = ()
 
 
@@ -129,7 +143,7 @@ def build_batched_streams(
                 program, psg, rep, nprocs, params, entry, max_iterations,
                 expr_cache, const_stmts,
             )
-        except Exception as exc:  # surfaces at the right time per-rank
+        except SimulationError as exc:  # surfaces at the right time per-rank
             _note(result, reasons, f"representative rank {rep} raised: {exc}")
             continue
         if len(rep_stream) * len(members) > _MAX_TOTAL_STREAM_OPS:
@@ -138,7 +152,7 @@ def build_batched_streams(
         try:
             base, patches = _build_template(
                 rep_stream, members, analysis, loc_index, template_cache,
-                nprocs, cost, precost_compute, devirt,
+                nprocs, cost, precost_compute, devirt, result,
             )
         except _Fallback as exc:
             _note(result, reasons, str(exc))
@@ -179,37 +193,42 @@ def _build_template(
     cost: CostModel,
     precost_compute: bool,
     devirt: dict | None,
+    result: BatchResult,
 ):
     """One pass over the representative stream -> (base, patches).
 
     ``base`` is the representative's stream with compute ops swapped for
     their precosted twins; ``patches`` lists ``(position, per_member)``
     substitutions for rank-varying ops, where ``per_member[i]`` is the op
-    instance for ``members[i]``.  Distinct op instances build their
-    per-member fan-out exactly once (memoized streams repeat instances).
+    instance for ``members[i]``.  Each distinct op *content* is classified
+    and builds its per-member fan-out exactly once, however many stream
+    positions repeat it (ops are immutable, so positions share instances).
     """
     base: list = []
     patches: list[tuple[int, list]] = []
-    # id(op) -> ("share", op) | ("vary", per_member) | ("vary0", per_member);
-    # "vary0" means even the representative's own op was rewritten
-    # (devirtualized wildcard), so base takes per_member[0], not op
-    inst_cache: dict[int, tuple] = {}
+    # _content_key(op) -> ("share", op) | ("vary", per_member)
+    # | ("vary0", per_member); "vary0" means even the representative's own
+    # op was rewritten (devirtualized wildcard), so base takes
+    # per_member[0], not op
+    inst_cache: dict[tuple, tuple] = {}
     value_cache: dict = {}  # (stmt_id, field) -> per-member coerced values
-    precost_cache: dict[int, tuple] = {}  # id(workload) -> baked cost row
-    varying_budget = _MAX_VARYING_INSTANCES
+    precost_cache: dict[Workload, tuple] = {}  # workload -> baked cost row
+    built = 0
 
     for pos, op in enumerate(rep_stream):
-        entry = inst_cache.get(id(op))
+        key = _content_key(op)
+        entry = inst_cache.get(key)
         if entry is None:
             entry = _classify_op(
                 op, members, analysis, loc_index, template_cache,
                 value_cache, nprocs, cost, precost_compute, precost_cache,
                 devirt,
             )
-            inst_cache[id(op)] = entry
+            inst_cache[key] = entry
             if entry[0] != "share":
-                varying_budget -= len(members)
-                if varying_budget < 0:
+                built += len(entry[1])
+                result.instances_built += len(entry[1])
+                if built > _MAX_VARYING_INSTANCES:
                     raise _Fallback("rank-varying instances exceed size cap")
         if entry[0] == "share":
             base.append(entry[1])
@@ -220,6 +239,32 @@ def _build_template(
             base.append(op)  # the representative's own instance is correct
             patches.append((pos, entry[1]))
     return base, patches
+
+
+#: op/value type -> its dataclass field names (None: not a dataclass)
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _content_key(value) -> tuple:
+    """A hashable key equal for two values exactly when they are the same
+    type with bitwise-equal content, recursing into dataclass fields.
+
+    Plain ``==`` would alias ``1`` with ``1.0`` and ``0.0`` with
+    ``-0.0``; tagging every leaf with its type (as the witness check
+    does) and spelling floats with ``hex()`` keeps those apart.
+    """
+    cls = type(value)
+    if cls is float:
+        return (cls, value.hex())
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+        )
+    if names is None:
+        return (cls, value)
+    return (cls, *[_content_key(getattr(value, n)) for n in names])
 
 
 def _classify_op(
@@ -274,7 +319,7 @@ def _classify_op(
         if precost_compute and op_type is ops.ComputeOp:
             return ("share", _precosted(op, op.workload, cost, precost_cache))
         if op_type is ops.SendOp:
-            return ("share", _precosted_send(op, op.nbytes, cost))
+            return ("share", _precosted_send(op, cost))
         return ("share", op)
 
     # Rank-varying: derive the per-member value columns (witness-checked
@@ -315,11 +360,10 @@ def _classify_op(
             op, members, columns, cost, precost_compute, precost_cache
         )
     elif op_type is ops.SendOp:
-        per_member = []
-        for i in range(len(members)):
-            fields = {attr: vals[i] for attr, vals in columns}
-            inst = replace(op, **fields)
-            per_member.append(_precosted_send(inst, inst.nbytes, cost))
+        per_member = [
+            _precosted_send(op, cost, **{attr: vals[i] for attr, vals in columns})
+            for i in range(len(members))
+        ]
     else:
         per_member = [
             replace(op, **{attr: vals[i] for attr, vals in columns})
@@ -432,11 +476,14 @@ def _vary_compute(
     return per_member
 
 
-def _precosted_send(op, nbytes: int, cost: CostModel):
-    """The precosted twin of one send op: the network model is fixed and
-    noise-free, so both per-event cost queries are pure in ``nbytes``."""
+def _precosted_send(op, cost: CostModel, **subst):
+    """The precosted twin of one send op, with ``subst`` overriding its
+    rank-varying ``dest``/``tag``/``nbytes``: the network model is fixed
+    and noise-free, so both per-event cost queries are pure in ``nbytes``."""
+    nbytes = subst.get("nbytes", op.nbytes)
     return ops.PrecostedSendOp(
-        vid=op.vid, location=op.location, dest=op.dest, tag=op.tag,
+        vid=op.vid, location=op.location,
+        dest=subst.get("dest", op.dest), tag=subst.get("tag", op.tag),
         nbytes=nbytes, mpi_op=op.mpi_op, blocking=op.blocking,
         request=op.request,
         overhead=cost.send_overhead(), transfer=cost.p2p_transfer(nbytes),
@@ -446,15 +493,19 @@ def _precosted_send(op, nbytes: int, cost: CostModel):
 
 def _precosted(op, workload, cost: CostModel, precost_cache: dict):
     """The precosted twin of one compute op (cost queried once per
-    distinct workload — rank-independent by the caller's machine check)."""
-    baked = precost_cache.get(id(workload))
+    distinct workload — rank-independent by the caller's machine check).
+
+    Keyed by workload *value*, like the engine's per-rank compute cache,
+    so equal workloads share one baked cost as they share one cached
+    cost on the per-rank path."""
+    baked = precost_cache.get(workload)
     if baked is None:
         duration, counters = cost.compute_cost(0, workload)
         baked = (
             duration, counters.tot_ins, counters.tot_cyc,
             counters.tot_lst_ins, counters.l2_dcm,
         )
-        precost_cache[id(workload)] = baked
+        precost_cache[workload] = baked
     duration, ins, cyc, lst, dcm = baked
     return ops.PrecostedComputeOp(
         vid=op.vid, location=op.location, workload=workload,

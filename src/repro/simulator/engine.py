@@ -424,6 +424,7 @@ class Engine:
         #: class-batching outcome (filled by start; zeros when off/unused)
         self.class_batch_stats: dict[str, int] = {
             "classes": 0, "ranks_batched": 0, "fallbacks": 0,
+            "instances_built": 0,
         }
         self.class_batch_reasons: tuple[str, ...] = ()
         #: wildcard devirtualization outcome: ``devirt`` counts rewritten
@@ -528,8 +529,11 @@ class Engine:
     ) -> dict:
         """Per-rank op streams for every batchable equivalence class (see
         :mod:`repro.simulator.classbatch`); empty dict = everything runs
-        per-rank.  Purely an optimizer: any failure degrades silently and
-        the identity sweep plus the batch counters keep it honest."""
+        per-rank.  Purely an optimizer: any failure degrades the run to
+        per-rank interpretation, but never silently — a crash in the
+        partition or the builder counts as a fallback and records the
+        exception type among the reasons, so it cannot pass for "nothing
+        to batch"."""
         cfg = self.config
         if (
             not cfg.sim_class_batching
@@ -570,12 +574,17 @@ class Engine:
                     and machine.mem_speed_sigma <= 0.0
                 ),
             )
-        except Exception:
+        except Exception as exc:
+            self.class_batch_stats["fallbacks"] += 1
+            self.class_batch_reasons = (
+                f"batching builder raised {type(exc).__name__}: {exc}",
+            )
             return {}
         stats = self.class_batch_stats
         stats["classes"] = result.classes_batched
         stats["ranks_batched"] = result.ranks_batched
         stats["fallbacks"] = result.fallbacks
+        stats["instances_built"] = result.instances_built
         self.class_batch_reasons = result.fallback_reasons
         return result.streams
 
@@ -663,6 +672,9 @@ class Engine:
             stats["ranks_batched"]
         )
         reg.counter("sim.class_batch.fallbacks").inc(stats["fallbacks"])
+        reg.counter("sim.class_batch.instances_built").inc(
+            stats["instances_built"]
+        )
         wstats = self.wildcard_stats
         reg.counter("sim.wildcard.devirt").inc(wstats["devirt"])
         reg.counter("sim.wildcard.gate_skips").inc(wstats["gate_skips"])

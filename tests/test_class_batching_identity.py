@@ -12,13 +12,19 @@ phase, a single rank diverging late) must take the per-rank path — the
 fallback counter says so — and still match the oracle exactly.
 """
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis.batching import op_stmt_index
 from repro.api import AnalysisConfig, Pipeline
 from repro.api.config import canonical_json
-from repro.simulator import SimulationConfig, simulate
+from repro.minilang.errors import SourceLocation
+from repro.simulator import SimulationConfig, classbatch, ops, simulate
+from repro.simulator.costmodel import CostModel, Workload
+from repro.simulator.errors import SimulationError
 from tests.conftest import IMBALANCED_SOURCE
 from tests.test_scheduler_identity import _compiled, _fingerprint, make_workload
 
@@ -227,3 +233,178 @@ class TestCanonicalReport:
         doc = json.loads(base.to_json())
         doc.pop("sim_class_batching", None)
         assert AnalysisConfig.from_dict(doc).sim_class_batching is True
+
+
+#: One loop whose statements re-emit ops with INVARIANT fields that differ
+#: across iterations only as ``1`` vs ``1.0`` and ``0.0`` vs ``-0.0`` (the
+#: ``5.0`` iteration in between defeats the interpreter's last-workload
+#: memo, so the signed zeros reach distinct Workload values).  A template
+#: keyed by ``==`` would alias them; the content key must not.
+ALIASING_LOOP = """\
+def main() {
+    for (var it = 0; it < 6; it = it + 1) {
+        var z = 0.0;
+        var b = 1;
+        if (it % 3 == 1) {
+            z = 5.0;
+        }
+        if (it % 3 == 2) {
+            z = -0.0;
+            b = 1.0;
+        }
+        compute(flops = z, bytes = z);
+        compute(flops = 20000 + 1000 * rank, bytes = b);
+        sendrecv(dest = (rank + 1) % nprocs, tag = 1, bytes = b,
+                 src = (rank - 1 + nprocs) % nprocs);
+        allreduce(bytes = b);
+    }
+}
+"""
+
+#: Every rank divides by zero after a symmetric loop: the runtime error
+#: must surface from the per-rank path, not from the batching builder.
+LATE_DIVISION_BY_ZERO = """\
+def main() {
+    for (var it = 0; it < 4; it = it + 1) {
+        compute(flops = 1000 + 100 * rank);
+        sendrecv(dest = (rank + 1) % nprocs, tag = 1, bytes = 64,
+                 src = (rank - 1 + nprocs) % nprocs);
+    }
+    compute(flops = 1000 / (nprocs - nprocs));
+}
+"""
+
+
+def _template_inputs(source, name, nprocs):
+    """What ``build_batched_streams`` hands ``_build_template`` for the
+    first class of ``source``: (program, rep stream, members, analysis)."""
+    from repro.analysis.rankdep import analyze_program
+    from repro.analysis.symmetry import partition_ranks
+
+    program, psg = _compiled(source, name)
+    analysis = analyze_program(program, nprocs, {})
+    summary = partition_ranks(program, nprocs, {}, analysis=analysis)
+    members = list(summary.classes[0].ranks)
+    stream = classbatch._materialize(
+        program, psg, members[0], nprocs, {}, "main", 10_000_000, {}, None,
+    )
+    return program, stream, members, analysis
+
+
+class TestContentKeyedTemplate:
+    def test_sst_p64_builds_one_instance_set_per_varying_entry(self):
+        """sst's three rank-varying statements repeat with identical
+        content on every loop iteration: the builder makes 3 x 64
+        per-member instances, not one set per stream position."""
+        from repro.apps import get_app
+        from tests.test_apps import run_app
+
+        counters = run_app(get_app("sst"), 64).metrics.counters
+        assert counters["sim.class_batch.ranks_batched"] == 64
+        assert counters["sim.class_batch.fallbacks"] == 0
+        assert counters["sim.class_batch.instances_built"] == 192
+
+    def test_aliasing_loop_matches_per_rank_oracle(self):
+        program, psg = _compiled(ALIASING_LOOP, "aliasing")
+        oracle = _fingerprint(program, psg, 8, sim_class_batching=False)
+        assert _fingerprint(program, psg, 8) == oracle
+        stats = _batch_counters(
+            simulate(program, psg, SimulationConfig(nprocs=8))
+        )
+        assert stats["ranks_batched"] == 8
+        reports = {}
+        for flag in (False, True):
+            pipeline = Pipeline(
+                source=ALIASING_LOOP, filename="aliasing.mm",
+                config=AnalysisConfig(seed=0, sim_class_batching=flag),
+            )
+            doc = pipeline.run([4, 8]).report.to_json_dict()
+            doc["detection_seconds"] = 0.0
+            reports[flag] = canonical_json(doc)
+        assert reports[True] == reports[False]
+
+    def test_content_key_is_type_strict_and_bitwise(self):
+        key = classbatch._content_key
+        assert key(1) != key(1.0)
+        assert key(True) != key(1)
+        assert key(0.0) != key(-0.0)
+        assert key(Workload(flops=0.0)) != key(Workload(flops=-0.0))
+        loc = SourceLocation("k.mm", 3, 5)
+        a = ops.CollectiveOp(vid=1, location=loc, nbytes=8)
+        assert key(a) == key(replace(a))
+        assert key(a) != key(replace(a, nbytes=8.0))
+        assert key(a) != key(ops.SendOp(vid=1, location=loc, dest=0, tag=0,
+                                        nbytes=8))
+
+    def test_template_positions_keep_their_own_content(self):
+        """Feed the builder a stream whose repeated ops differ only as
+        ``8`` vs ``8.0`` / ``0.0`` vs ``-0.0``: every base position must
+        carry its own op's exact content, never an earlier look-alike's."""
+        program, stream, members, analysis = _template_inputs(
+            ALIASING_LOOP, "aliasing_unit", 6
+        )
+        mutated = []
+        for i, op in enumerate(stream):
+            if i % 2 and type(op) is ops.CollectiveOp:
+                op = replace(op, nbytes=float(op.nbytes))
+            elif i % 2 and type(op) is ops.ComputeOp \
+                    and op.workload.flops == 0.0:
+                op = replace(op, workload=Workload(flops=-0.0))
+            mutated.append(op)
+        assert any(type(op.nbytes) is float for op in mutated
+                   if type(op) is ops.CollectiveOp)
+        result = classbatch.BatchResult(streams={})
+        base, patches = classbatch._build_template(
+            mutated, members, analysis, op_stmt_index(program), {}, 6,
+            CostModel(), True, None, result,
+        )
+        assert patches and result.instances_built > 0
+        for want, got in zip(mutated, base):
+            if isinstance(want, ops.CollectiveOp):
+                assert type(got.nbytes) is type(want.nbytes)
+            elif isinstance(want, ops.ComputeOp):
+                assert math.copysign(1.0, got.workload.flops) == \
+                    math.copysign(1.0, want.workload.flops)
+
+
+class TestLoudFailures:
+    def test_builder_crash_counts_as_a_fallback(self, monkeypatch):
+        """A crash inside the builder degrades the run to per-rank
+        interpretation, but the counters and reasons say so."""
+        from repro.psg import build_psg
+        from repro.minilang.parser import parse_program
+        from repro.simulator.engine import Engine
+
+        def boom(**_kwargs):
+            raise KeyError("template slot")
+
+        monkeypatch.setattr(classbatch, "build_batched_streams", boom)
+        program = parse_program(SYMMETRIC_RING, "symring_boom.mm")
+        engine = Engine(
+            program, build_psg(program).psg, SimulationConfig(nprocs=8)
+        )
+        engine.run()
+        assert engine.class_batch_stats["fallbacks"] == 1
+        assert engine.class_batch_stats["ranks_batched"] == 0
+        assert any("KeyError" in r for r in engine.class_batch_reasons)
+
+    def test_representative_runtime_error_surfaces_per_rank(self):
+        program, psg = _compiled(LATE_DIVISION_BY_ZERO, "latediv")
+        errors = {}
+        for flag in (False, True):
+            with pytest.raises(SimulationError) as info:
+                simulate(program, psg, SimulationConfig(
+                    nprocs=6, sim_class_batching=flag,
+                ))
+            errors[flag] = str(info.value)
+        assert errors[True] == errors[False]
+        assert "division by zero" in errors[True]
+        # the builder saw the representative raise and degraded the class
+        from repro.simulator.engine import Engine
+
+        engine = Engine(program, psg, SimulationConfig(nprocs=6))
+        engine.start()
+        assert engine.class_batch_stats["ranks_batched"] == 0
+        assert any(
+            "division by zero" in r for r in engine.class_batch_reasons
+        )

@@ -141,14 +141,14 @@ _GATHER_WILD = """\
             recv(src = ANY, tag = {tag});
         }}
     }} else {{
-        compute(flops = {flops} + {stagger} * rank);
+        compute(flops = {flops} + {stagger} * rank{jitter});
         send(dest = 0, tag = {tag}, bytes = {nbytes});
     }}
 """
 
 _IRECV_WILD = """\
     for (var w{i} = 0; w{i} < {iters}; w{i} = w{i} + 1) {{
-        compute(flops = {flops} + {stagger} * rank);
+        compute(flops = {flops} + {stagger} * rank{jitter});
         if (rank == 0) {{
             for (var j{i} = 1; j{i} < nprocs; j{i} = j{i} + 1) {{
                 irecv(src = ANY, tag = ANY, req = r{i});
@@ -200,25 +200,38 @@ def workloads(draw, staggered_wildcards=False):
     property (tags, sizes, staggers and phase mixes all vary).
 
     ``staggered_wildcards=True`` forces a nonzero per-rank compute stagger
-    in the wildcard templates, keeping the program inside the sharded
-    bit-identity guarantee: distinct senders racing one ANY-source receive
-    at *exactly* equal times are MPI-ambiguous, and sharded runs tie-break
-    canonically rather than by the serial engine's emergent heap order
-    (the PR-3 carve-out pinned by test_parallel_sim)."""
+    plus a ``hashrand(rank, iteration)`` jitter in the wildcard templates,
+    keeping the program inside the sharded bit-identity guarantee:
+    distinct senders racing one ANY-source receive at *exactly* equal
+    times are MPI-ambiguous, and sharded runs tie-break canonically rather
+    than by the serial engine's emergent heap order (the carve-out pinned
+    by test_parallel_sim).  A stagger linear in rank alone is not enough:
+    across loop iterations ``(k+1) * (F + s*r1) == (j+1) * (F + s*r2)``
+    has integer solutions, while the unfloored hashrand term makes the
+    senders' cumulative clocks pairwise distinct."""
     nprocs = draw(st.integers(min_value=2, max_value=6))
     nphases = draw(st.integers(min_value=1, max_value=3))
     body = []
     for i in range(nphases):
         template = draw(st.sampled_from(_PHASES))
         staggers = [0, 7000, 31000]
-        if staggered_wildcards and template in (_GATHER_WILD, _IRECV_WILD):
+        tie_free = staggered_wildcards and template in (
+            _GATHER_WILD, _IRECV_WILD
+        )
+        if tie_free:
             staggers = [7000, 31000]
+        stagger = draw(st.sampled_from(staggers))
+        jitter = ""
+        if tie_free:
+            loop_var = f"w{i}" if template is _IRECV_WILD else str(i)
+            jitter = f" + {stagger} * hashrand(rank, {loop_var})"
         body.append(
             template.format(
                 i=i,
                 iters=draw(st.integers(1, 3)),
                 flops=draw(st.sampled_from([20000, 50000, 120000])),
-                stagger=draw(st.sampled_from(staggers)),
+                stagger=stagger,
+                jitter=jitter,
                 tag=draw(st.integers(0, 4)),
                 nbytes=draw(st.sampled_from([8, 256, 4096])),
             )
