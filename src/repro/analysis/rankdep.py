@@ -248,7 +248,7 @@ def _apply_call(name: str, args: list) -> object:
     impl = BUILTIN_IMPL[name]
     try:
         return impl(*args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise SimulationError(f"{name}(): {exc}") from exc
 
 

@@ -42,6 +42,7 @@ per-rank oracle is gated by ``tests/test_class_batching_identity.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from repro.analysis.batching import (
@@ -433,13 +434,19 @@ def _member_values(rule, members: list[int], nprocs: int) -> list:
             if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise _Fallback(f"derived {rule.field}={v!r} is not a valid tag")
         elif coerce == "bytes":
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0 \
+                    or (isinstance(v, float) and not math.isfinite(v)):
                 raise _Fallback(f"derived {rule.field}={v!r} is not a byte count")
             v = int(v)
         else:  # "number" (compute fields; range-checked at Workload build)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise _Fallback(f"derived {rule.field}={v!r} is not a number")
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise _Fallback(f"derived {rule.field}={v!r} is not finite")
         out.append(v)
     return out
 

@@ -31,6 +31,7 @@ reports a per-rank stuck-at diagnostic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Iterator
@@ -122,6 +123,13 @@ class DelayInjection:
     filename: str
     line: int
     extra_seconds: float
+
+    def __post_init__(self) -> None:
+        # an infinite, NaN or negative delay corrupts every later timestamp
+        if not math.isfinite(self.extra_seconds) or self.extra_seconds < 0:
+            raise ValueError(
+                f"extra_seconds must be finite and >= 0, got {self.extra_seconds!r}"
+            )
 
 
 @dataclass

@@ -437,7 +437,8 @@ def _compile_call(
             args = [a(frame, ctx) for a in arg_fns]
             try:
                 return impl(*args)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                # ArithmeticError: pow() overflow, floor(inf), pow(0.0, -1)
                 raise SimulationError(f"{loc}: {name}(): {exc}") from exc
 
     return _try_fold(fn, kind)

@@ -16,6 +16,7 @@ vertex via ``psg.lookup_stmt`` — this is the runtime half of the paper's
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from collections.abc import Iterator, Mapping
 
@@ -199,7 +200,14 @@ def _number_arg(expr_fn, loc, what):
         value = expr_fn(frame, ctx)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MpiUsageError(f"{loc}: {what} must be a number, got {value!r}")
-        return float(value)
+        # a non-finite workload would put inf/nan times on the timeline
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise MpiUsageError(f"{loc}: {what} must be finite, got {number!r}")
+        return number
 
     return fn
 
@@ -263,6 +271,8 @@ def _bytes_arg(expr, loc, compiler):
         value = expr_fn(frame, ctx)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MpiUsageError(f"{loc}: bytes must be a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise MpiUsageError(f"{loc}: bytes must be finite, got {value!r}")
         nbytes = int(value)
         if nbytes < 0:
             raise MpiUsageError(f"{loc}: bytes must be non-negative, got {nbytes}")

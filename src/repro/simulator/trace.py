@@ -83,6 +83,7 @@ __all__ = [
     "MPI_CODE_TO_OP",
     "WILDCARD_CODE",
     "mpi_op_code",
+    "group_rank_vid",
     "TraceBuffer",
     "SegmentsView",
     "P2PTable",
@@ -117,6 +118,28 @@ def mpi_op_code(op: MpiOp | None) -> int:
 
 def _op_from_code(code: int) -> MpiOp | None:
     return None if code < 0 else _CODE_TO_OP[code]
+
+
+def group_rank_vid(
+    rank: np.ndarray, vid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """Group rows by (rank, vid): returns (inverse, order, keys).
+
+    ``inverse[i]`` is row ``i``'s group, the index ``np.bincount`` takes;
+    ``keys[order]`` enumerates groups in first-occurrence order, which
+    matches the insertion order the old streaming dicts had.
+    """
+    composite = rank.astype(np.int64) * (int(vid.max()) + 1 if len(vid) else 1)
+    composite = composite + vid.astype(np.int64)
+    _uniq, first, inv = np.unique(
+        composite, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    keys = list(zip(
+        rank[first].astype(np.int64).tolist(),
+        vid[first].astype(np.int64).tolist(),
+    ))
+    return inv, order, keys
 
 
 class SegmentsView:
@@ -794,7 +817,7 @@ class TraceBuffer:
         # across chunks each key joins via one add of the chunk partial)
         # and let the chunk go.
         rank_col, vid_col = chunk[:, 0], chunk[:, 1]
-        inv, order, keys = self._grouped(rank_col, vid_col)
+        inv, order, keys = group_rank_vid(rank_col, vid_col)
         n = len(keys)
         wait_col = chunk[:, 5]
         time_sums = np.bincount(
@@ -821,7 +844,7 @@ class TraceBuffer:
         # Same bincount fold as _fold_event_chunk, over the four PMU
         # counter columns.
         rank_col, vid_col = chunk[:, 0], chunk[:, 1]
-        inv, order, keys = self._grouped(rank_col, vid_col)
+        inv, order, keys = group_rank_vid(rank_col, vid_col)
         n = len(keys)
         sums = [
             np.bincount(inv, weights=chunk[:, c], minlength=n)
@@ -938,26 +961,6 @@ class TraceBuffer:
 
     # -- per-vertex aggregation ------------------------------------------
 
-    @staticmethod
-    def _grouped(
-        rank: np.ndarray, vid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-        """Group rows by (rank, vid): returns (inverse, order, keys).
-
-        ``keys[order]`` enumerates groups in first-occurrence order, which
-        matches the insertion order the old streaming dicts had.
-        """
-        composite = rank.astype(np.int64) * (int(vid.max()) + 1 if len(vid) else 1)
-        composite = composite + vid.astype(np.int64)
-        uniq, first, inv = np.unique(
-            composite, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first, kind="stable")
-        keys = [
-            (int(rank[first[g]]), int(vid[first[g]])) for g in range(len(uniq))
-        ]
-        return inv, order, keys
-
     def _aggregate_events(self) -> tuple[dict, dict, dict]:
         """(vertex_time, vertex_wait, vertex_visits) from the event table.
 
@@ -983,7 +986,7 @@ class TraceBuffer:
         vertex_wait: dict[tuple[int, int], float] = {}
         vertex_visits: dict[tuple[int, int], int] = {}
         if len(rank):
-            inv, order, keys = self._grouped(rank, vid)
+            inv, order, keys = group_rank_vid(rank, vid)
             n = len(keys)
             durations = cols["end"] - cols["start"]
             time_sums = np.bincount(inv, weights=durations, minlength=n)
@@ -1025,7 +1028,7 @@ class TraceBuffer:
         rank, vid = cols["rank"], cols["vid"]
         out: dict[tuple[int, int], PerfCounters] = {}
         if len(rank):
-            inv, order, keys = self._grouped(rank, vid)
+            inv, order, keys = group_rank_vid(rank, vid)
             n = len(keys)
             sums = {
                 field: np.bincount(inv, weights=cols[field], minlength=n)
@@ -1054,9 +1057,10 @@ class TraceBuffer:
         ranks and every rank's events stay in that rank's execution order,
         which is the invariant every consumer depends on: the per-(rank,
         vid) ``np.bincount`` sums accumulate per key in per-rank order, and
-        :func:`repro.runtime.sampling.sample_result` re-sorts rank-major
-        before accumulating — so aggregates and profiles are bit-identical
-        to a serial run's, even though the global interleaving differs.
+        :func:`repro.runtime.sampling.sample_result` stable-sorts its
+        sampled segments rank-major before its own bincount sums — so
+        aggregates and profiles are bit-identical to a serial run's, even
+        though the global interleaving differs.
 
         Ring-mode buffers (``keep_events=False``) merge their folded
         per-vertex aggregates instead; the key spaces are disjoint because

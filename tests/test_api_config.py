@@ -65,6 +65,13 @@ class TestValidation:
         cfg = AnalysisConfig(injected_delays=[d])
         assert cfg.injected_delays == (d,)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -5.0])
+    def test_injected_delay_must_be_finite_and_non_negative(self, bad):
+        """Such a delay would put inf/nan or backwards times on the
+        timeline, which sampling then attributes silently."""
+        with pytest.raises(ValueError, match="extra_seconds"):
+            DelayInjection(rank=0, filename="x", line=1, extra_seconds=bad)
+
 
 class TestJsonRoundTrip:
     def test_default_round_trips(self):

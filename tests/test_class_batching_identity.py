@@ -24,7 +24,7 @@ from repro.api.config import canonical_json
 from repro.minilang.errors import SourceLocation
 from repro.simulator import SimulationConfig, classbatch, ops, simulate
 from repro.simulator.costmodel import CostModel, Workload
-from repro.simulator.errors import SimulationError
+from repro.simulator.errors import MpiUsageError, SimulationError
 from tests.conftest import IMBALANCED_SOURCE
 from tests.test_scheduler_identity import _compiled, _fingerprint, make_workload
 
@@ -408,3 +408,76 @@ class TestLoudFailures:
         assert any(
             "division by zero" in r for r in engine.class_batch_reasons
         )
+
+    @pytest.mark.parametrize(
+        "name,stmt,error,message",
+        [
+            ("powovf", "compute(flops = pow(10.0, 400));",
+             SimulationError, "pow(): "),
+            ("infbytes",
+             "send(dest = (rank + 1) % nprocs, tag = 1, "
+             "bytes = 1.0e308 * 10.0);",
+             MpiUsageError, "bytes must be finite, got inf"),
+            ("infflops", "compute(flops = 1.0e308 * 10.0);",
+             MpiUsageError, "flops must be finite, got inf"),
+            ("bigintmem", "compute(flops = 1000, bytes = pow(10, 400));",
+             MpiUsageError, "bytes must be finite, got inf"),
+        ],
+        ids=["pow", "bytes", "flops", "bigint"],
+    )
+    def test_arithmetic_overflow_is_a_located_error(
+        self, name, stmt, error, message
+    ):
+        """An overflowing builtin or a non-finite workload or byte count is a
+        typed error naming its source line on both paths, and the builder
+        degrades only the class whose representative raised."""
+        from repro.simulator.engine import Engine
+
+        program, psg = _compiled(f"def main() {{\n    {stmt}\n}}\n", name)
+        for flag in (False, True):
+            with pytest.raises(error) as info:
+                simulate(program, psg, SimulationConfig(
+                    nprocs=4, sim_class_batching=flag,
+                ))
+            assert str(info.value).startswith(f"{name}.mm:2: ")
+            assert message in str(info.value)
+        engine = Engine(program, psg, SimulationConfig(nprocs=4))
+        engine.start()
+        assert engine.class_batch_stats["fallbacks"] == 1
+        (reason,) = engine.class_batch_reasons
+        assert reason.startswith("representative rank 0 raised: ")
+        assert f"{name}.mm:2" in reason
+
+    @pytest.mark.parametrize(
+        "name,stmt,error,reason",
+        [
+            ("memberpow", "compute(flops = pow(10.0, 300 + 100 * rank));",
+             SimulationError, "term evaluation failed: pow(): "),
+            ("memberinf",
+             "send(dest = (rank + 1) % nprocs, tag = 1,"
+             " bytes = rank * 1.0e308 * 10.0);\n"
+             "    recv(src = (rank - 1 + nprocs) % nprocs, tag = 1);",
+             MpiUsageError, "derived nbytes=inf is not a byte count"),
+            ("memberflops", "compute(flops = rank * 1.0e308 * 10.0);",
+             MpiUsageError, "derived flops=inf is not finite"),
+        ],
+        ids=["pow", "bytes", "flops"],
+    )
+    def test_member_overflow_degrades_the_class(
+        self, name, stmt, error, reason
+    ):
+        """A value finite on the representative but overflowing on another
+        member falls back to per-rank interpretation, which then raises
+        the located error at that member."""
+        from repro.simulator.engine import Engine
+
+        program, psg = _compiled(f"def main() {{\n    {stmt}\n}}\n", name)
+        engine = Engine(program, psg, SimulationConfig(nprocs=4))
+        engine.start()
+        (got,) = engine.class_batch_reasons
+        assert got.startswith(reason)
+        for flag in (False, True):
+            with pytest.raises(error, match=f"^{name}.mm:2: "):
+                simulate(program, psg, SimulationConfig(
+                    nprocs=4, sim_class_batching=flag,
+                ))
